@@ -9,7 +9,9 @@
 // The solver is cyclic coordinate descent with soft-thresholding, run on
 // RAW (unstandardized) features — this is what makes the paper's λ grid of
 // 10^0..10^9 meaningful, since system features live on scales from
-// fractions of a percent to millions of KiB. The objective is the
+// fractions of a percent to millions of KiB. It works in covariance mode:
+// the centered Gram matrix XcᵀXc is formed once per fit, so a coordinate
+// update costs O(p) rather than O(n). The objective is the
 // total-squared-error form ||y - Xβ||² + λ||β||₁ (Eq. 2 times n, i.e. λ is
 // rescaled by the dataset size relative to the mean-error form); see the
 // note in lasso.cpp. An unpenalized intercept is handled by centering.
@@ -57,6 +59,12 @@ class Lasso final : public Regressor {
   /// Indices of features with non-zero weight.
   [[nodiscard]] std::vector<std::size_t> selected_features() const;
 
+  /// Coordinate sweeps the last fit() ran (at most max_iterations), and
+  /// whether it stopped on the tolerance rather than at that cap. A model
+  /// read back by load() reports 0 and false.
+  [[nodiscard]] std::size_t sweeps() const { return sweeps_; }
+  [[nodiscard]] bool converged() const { return converged_; }
+
   /// Warm-starts the next fit() from the given coefficients (used by the
   /// regularization path, which sweeps λ from large to small).
   void warm_start(std::vector<double> coefficients);
@@ -66,6 +74,8 @@ class Lasso final : public Regressor {
   std::vector<double> coefficients_;
   std::vector<double> warm_;
   double intercept_ = 0.0;
+  std::size_t sweeps_ = 0;
+  bool converged_ = false;
   bool fitted_ = false;
 };
 
@@ -75,6 +85,8 @@ struct LassoPathEntry {
   std::vector<double> coefficients;      ///< β on the raw feature scale.
   double intercept = 0.0;
   std::vector<std::size_t> selected;     ///< Non-zero coefficient indices.
+  std::size_t sweeps = 0;                ///< Lasso::sweeps() of this fit.
+  bool converged = false;                ///< Lasso::converged() of this fit.
 };
 
 /// Fits the Lasso for every λ in `lambdas` (any order; internally solved

@@ -187,8 +187,13 @@ std::optional<MetricSnapshot> Registry::find(const std::string& name,
 }
 
 Registry& Registry::global() {
-  static Registry registry;
-  return registry;
+  // Deliberately never destroyed. ThreadPool::global() is constructed
+  // before its first enqueue touches this registry, so a function-local
+  // static here would be destroyed before that pool joins its workers, and
+  // a worker finishing a task (or draining the queue) at exit would record
+  // into freed memory.
+  static Registry* const registry = new Registry();
+  return *registry;
 }
 
 }  // namespace f2pm::obs

@@ -182,7 +182,8 @@ class Registry {
   [[nodiscard]] std::optional<MetricSnapshot> find(
       const std::string& name, const std::string& labels = "") const;
 
-  /// The process-wide registry every instrumented layer writes to.
+  /// The process-wide registry every instrumented layer writes to. It is
+  /// never destroyed, so threads may record into it until process exit.
   static Registry& global();
 
  private:

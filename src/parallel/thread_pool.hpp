@@ -1,6 +1,5 @@
 // Fixed-size worker pool used by the model-generation phase (train many
-// models concurrently), the Lasso regularization path (one λ per task) and
-// the kernel-matrix / gemm row-block loops.
+// models concurrently) and the kernel-matrix / gemm row-block loops.
 //
 // Design follows the shared-memory fork/join model of the OpenMP examples:
 // explicit decomposition into chunks, a barrier at the end of each parallel

@@ -1,11 +1,16 @@
 #include "parallel/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <spawn.h>
+#include <sys/wait.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+extern char** environ;
 
 namespace f2pm::parallel {
 namespace {
@@ -138,6 +143,30 @@ TEST(ThreadPool, TryRunOneDrainsQueue) {
   EXPECT_FALSE(pool.try_run_one());
   gate.set_value();
   blocker.get();
+}
+
+std::string describe_status(int status) {
+  if (WIFEXITED(status)) return "exit " + std::to_string(WEXITSTATUS(status));
+  if (WIFSIGNALED(status)) return "signal " + std::to_string(WTERMSIG(status));
+  return "status " + std::to_string(status);
+}
+
+/// A process that returns from main right after a parallel region, with
+/// tasks still queued on the global pool, must exit 0: pool threads record
+/// metrics until the pool's destructor joins them, after every later
+/// static is gone. The helper runs in a fresh process each time (a forked
+/// copy of this one would inherit a pool whose threads do not exist).
+TEST(GlobalPool, ProcessExitsCleanlyAfterParallelRegion) {
+  constexpr int kRuns = 300;
+  for (int run = 0; run < kRuns; ++run) {
+    char* argv[] = {const_cast<char*>(F2PM_POOL_EXIT_HELPER), nullptr};
+    pid_t pid = 0;
+    ASSERT_EQ(posix_spawn(&pid, argv[0], nullptr, nullptr, argv, environ), 0);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "run " << run << ": " << describe_status(status);
+  }
 }
 
 }  // namespace
