@@ -49,10 +49,10 @@ ModelOutcome evaluate_one(const ModelSpec& spec, const data::Dataset& train,
   auto model = ml::make_model(spec.registry_name, spec.params);
   ModelOutcome outcome;
   outcome.display_name = spec.display_name;
-  outcome.report = ml::evaluate_model(*model, train.x, train.y, validation.x,
-                                      validation.y, soft_threshold);
+  outcome.report =
+      ml::evaluate_model(*model, train.x, train.y, validation.x, validation.y,
+                         soft_threshold, &outcome.predicted);
   outcome.report.model_name = spec.display_name;
-  outcome.predicted = model->predict(validation.x);
   return outcome;
 }
 

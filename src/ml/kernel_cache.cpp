@@ -8,7 +8,7 @@ namespace f2pm::ml {
 KernelRowCache::KernelRowCache(const KernelParams& params,
                                const linalg::Matrix& x,
                                std::size_t budget_bytes)
-    : params_(params), x_(x) {
+    : params_(params), xt_(x.transposed()) {
   const std::size_t n = x.rows();
   if (n == 0) {
     throw std::invalid_argument("KernelRowCache: empty matrix");
@@ -27,7 +27,7 @@ KernelRowCache::KernelRowCache(const KernelParams& params,
 }
 
 std::span<const double> KernelRowCache::row(std::size_t i) {
-  const std::size_t n = x_.rows();
+  const std::size_t n = xt_.cols();
   if (i >= n) {
     throw std::invalid_argument("KernelRowCache::row: index out of range");
   }
@@ -58,7 +58,7 @@ std::span<const double> KernelRowCache::row(std::size_t i) {
     ++stats_.evictions;
   }
   slot_of_row_[i] = static_cast<std::int64_t>(slot);
-  kernel_row(params_, x_, i, norms_, slots_[slot]);
+  kernel_row(params_, xt_, i, norms_, slots_[slot]);
   return {slots_[slot]};
 }
 

@@ -30,11 +30,12 @@ struct KernelCacheStats {
 };
 
 /// LRU cache of kernel-matrix rows. Not thread-safe: one instance per
-/// solver (row computation itself fans out over the thread pool).
+/// solver.
 class KernelRowCache {
  public:
-  /// `x` must outlive the cache. At most max(2, budget_bytes / (8 n)) rows
-  /// are resident at once (and never more than n).
+  /// Keeps a transposed copy of `x` for kernel_row. At most
+  /// max(2, budget_bytes / (8 n)) rows are resident at once (and never
+  /// more than n).
   KernelRowCache(const KernelParams& params, const linalg::Matrix& x,
                  std::size_t budget_bytes);
 
@@ -55,7 +56,7 @@ class KernelRowCache {
 
  private:
   KernelParams params_;
-  const linalg::Matrix& x_;
+  linalg::Matrix xt_;                        ///< x transposed (p x n).
   std::vector<double> norms_;
   std::vector<double> diag_;
   std::size_t max_rows_ = 0;

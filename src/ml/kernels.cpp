@@ -100,52 +100,43 @@ std::vector<double> row_squared_norms(const linalg::Matrix& x) {
   return norms;
 }
 
-void kernel_row(const KernelParams& params, const linalg::Matrix& x,
+void kernel_row(const KernelParams& params, const linalg::Matrix& xt,
                 std::size_t i, std::span<const double> row_norms,
                 std::span<double> out) {
-  const std::size_t n = x.rows();
+  const std::size_t n = xt.cols();
   if (i >= n) {
     throw std::invalid_argument("kernel_row: row index out of range");
   }
-  if (out.size() != n) {
-    throw std::invalid_argument("kernel_row: output span size mismatch");
+  if (out.size() > n) {
+    throw std::invalid_argument("kernel_row: output span longer than a row");
   }
   if (params.type == KernelType::kRbf && row_norms.size() != n) {
     throw std::invalid_argument("kernel_row: row_norms size mismatch");
   }
-  const auto xi = x.row(i);
-  auto block = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t j = lo; j < hi; ++j) out[j] = linalg::dot(xi, x.row(j));
-    switch (params.type) {
-      case KernelType::kLinear:
-        break;
-      case KernelType::kRbf: {
-        // Squared-distance pass (vectorizable), then one exp pass. The
-        // max(0, .) guards against tiny negative round-off; the diagonal
-        // cancels exactly, so K(i, i) stays 1.
-        const double ni = row_norms[i];
-        for (std::size_t j = lo; j < hi; ++j) {
-          out[j] = -params.gamma *
-                   std::max(0.0, ni + row_norms[j] - 2.0 * out[j]);
-        }
-        for (std::size_t j = lo; j < hi; ++j) out[j] = std::exp(out[j]);
-        break;
+  std::fill(out.begin(), out.end(), 0.0);
+  for (std::size_t k = 0; k < xt.rows(); ++k) {
+    linalg::axpy(xt(k, i), xt.row(k).first(out.size()), out);
+  }
+  switch (params.type) {
+    case KernelType::kLinear:
+      break;
+    case KernelType::kRbf: {
+      // Squared-distance pass (vectorizable), then one exp pass. The
+      // max(0, .) guards against tiny negative round-off; the diagonal
+      // cancels exactly, so K(i, i) stays 1.
+      const double ni = row_norms[i];
+      for (std::size_t j = 0; j < out.size(); ++j) {
+        out[j] =
+            -params.gamma * std::max(0.0, ni + row_norms[j] - 2.0 * out[j]);
       }
-      case KernelType::kPolynomial:
-        for (std::size_t j = lo; j < hi; ++j) {
-          out[j] = std::pow(params.gamma * out[j] + params.coef0,
-                            params.degree);
-        }
-        break;
+      for (double& value : out) value = std::exp(value);
+      break;
     }
-  };
-  // Below this many multiply-adds the dispatch costs more than the row.
-  constexpr std::size_t kParallelWork = 1u << 14;
-  if (n * x.cols() < kParallelWork) {
-    block(0, n);
-  } else {
-    parallel::parallel_for_chunked(parallel::ThreadPool::global(), 0, n,
-                                   block);
+    case KernelType::kPolynomial:
+      for (double& value : out) {
+        value = std::pow(params.gamma * value + params.coef0, params.degree);
+      }
+      break;
   }
 }
 

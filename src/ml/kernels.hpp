@@ -49,12 +49,17 @@ linalg::Matrix kernel_matrix(const KernelParams& params,
 /// (||a - b||² = ||a||² + ||b||² - 2 a·b).
 std::vector<double> row_squared_norms(const linalg::Matrix& x);
 
-/// Writes K(i, j) for every row j of x into `out` (out.size() must equal
-/// x.rows()). `row_norms` must be row_squared_norms(x); it is only read by
-/// the RBF kernel. Specialised per kernel type — the transcendental is
-/// hoisted out of the distance loop — and parallel over column blocks for
-/// large n. This is the on-demand primitive under KernelRowCache.
-void kernel_row(const KernelParams& params, const linalg::Matrix& x,
+/// Writes K(i, j) for j = 0 .. out.size() - 1 into `out`, so a caller can
+/// ask for a whole row (out.size() == n) or only its lower-triangle prefix.
+/// `xt` is the transposed data matrix (features x n rows), and `row_norms`
+/// must be row_squared_norms of the untransposed one; it is only read by
+/// the RBF kernel. The dot products run as one axpy per feature over the
+/// rows of `xt`, so each K(i, j) adds x(i, k) x(j, k) to 0.0 in
+/// ascending k, bit-identical to linalg::dot, with the inner loop over j.
+/// Specialised per kernel type — the transcendental is hoisted out of the
+/// distance loop. Serial: callers that need many rows parallelize across
+/// them. This is the on-demand primitive under KernelRowCache.
+void kernel_row(const KernelParams& params, const linalg::Matrix& xt,
                 std::size_t i, std::span<const double> row_norms,
                 std::span<double> out);
 

@@ -3,13 +3,19 @@
 #include <stdexcept>
 
 #include "linalg/blas.hpp"
-#include "linalg/solve.hpp"
+#include "linalg/cholesky.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace f2pm::ml {
 
 LsSvm::LsSvm(LsSvmOptions options) : options_(options) {
   if (options_.gamma <= 0.0) {
     throw std::invalid_argument("LsSvm: gamma must be > 0");
+  }
+  if (options_.kernel.type == KernelType::kPolynomial &&
+      (options_.kernel.coef0 < 0.0 || options_.kernel.degree < 1)) {
+    throw std::invalid_argument(
+        "LsSvm: a polynomial kernel needs coef0 >= 0 and degree >= 1");
   }
 }
 
@@ -27,24 +33,34 @@ void LsSvm::fit(const linalg::Matrix& x_raw, std::span<const double> y_raw) {
   fitted_kernel_.gamma = resolve_gamma(options_.kernel, support_.cols());
 
   const std::size_t n = support_.rows();
-  // Bordered system: row/col 0 is the bias, the rest is K + I/γ. Kernel
-  // rows are written straight into the system via kernel_row (parallel,
-  // with the RBF exp hoisted), so no separate n x n kernel matrix is ever
-  // materialized.
+  // Lower triangle of H = K + I/γ, one kernel-row prefix per row.
+  const linalg::Matrix xt = support_.transposed();
   const std::vector<double> norms = row_squared_norms(support_);
-  linalg::Matrix system(n + 1, n + 1);
-  std::vector<double> rhs(n + 1, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto row = system.row(i + 1);
-    kernel_row(fitted_kernel_, support_, i, norms, row.subspan(1));
-    row[0] = 1.0;
-    system(0, i + 1) = 1.0;
-    system(i + 1, i + 1) += 1.0 / options_.gamma;
-    rhs[i + 1] = y[i];
+  linalg::Matrix h(n, n);
+  parallel::parallel_for_chunked(
+      parallel::ThreadPool::global(), 0, n,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const auto row = h.row(i).first(i + 1);
+          kernel_row(fitted_kernel_, xt, i, norms, row);
+          row[i] += 1.0 / options_.gamma;
+        }
+      });
+  const auto factor = linalg::cholesky(std::move(h));
+  if (!factor) {
+    throw std::runtime_error("LsSvm: K + I/gamma is not positive definite");
   }
-  const std::vector<double> solution = linalg::solve(system, rhs);
-  bias_ = solution[0];
-  alphas_.assign(solution.begin() + 1, solution.end());
+  const std::vector<double> eta = factor->solve(std::vector<double>(n, 1.0));
+  const std::vector<double> nu = factor->solve(y);
+  double sum_eta = 0.0;
+  double sum_nu = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum_eta += eta[i];
+    sum_nu += nu[i];
+  }
+  bias_ = sum_nu / sum_eta;
+  alphas_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) alphas_[i] = nu[i] - bias_ * eta[i];
   fitted_ = true;
 }
 

@@ -6,9 +6,13 @@
 //   [ 0   1ᵀ          ] [ b ]   [ 0 ]
 //   [ 1   K + I/γ     ] [ α ] = [ y ]
 //
-// solved here by LU with partial pivoting (the system is symmetric but
-// indefinite, so Cholesky does not apply). Every training point becomes a
-// support vector — the price LS-SVM pays for its closed form.
+// That system is symmetric but indefinite. Eliminating b by its Schur
+// complement (Suykens et al., "Least Squares Support Vector Machines",
+// 2002) leaves two solves in H = K + I/γ, which is positive definite
+// whenever K is positive semi-definite: H η = 1, H ν = y, then
+// b = 1ᵀν / 1ᵀη and α = ν − b η. H is factored once by Cholesky. Every
+// training point becomes a support vector — the price LS-SVM pays for its
+// closed form.
 #pragma once
 
 #include <vector>
@@ -28,6 +32,9 @@ struct LsSvmOptions {
 /// Least-squares SVM regressor.
 class LsSvm final : public Regressor {
  public:
+  /// Throws std::invalid_argument for gamma <= 0, and for a polynomial
+  /// kernel with coef0 < 0 or degree < 1, whose K need not be positive
+  /// semi-definite.
   explicit LsSvm(LsSvmOptions options = {});
 
   void fit(const linalg::Matrix& x, std::span<const double> y) override;
@@ -42,6 +49,9 @@ class LsSvm final : public Regressor {
   static std::unique_ptr<LsSvm> load(util::BinaryReader& reader);
 
   [[nodiscard]] const LsSvmOptions& options() const { return options_; }
+  /// Bias b and dual weights α, in standardized target units.
+  [[nodiscard]] double bias() const { return bias_; }
+  [[nodiscard]] const std::vector<double>& alphas() const { return alphas_; }
 
  private:
   LsSvmOptions options_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/timer.hpp"
@@ -107,7 +108,8 @@ EvaluationReport evaluate_model(Regressor& model,
                                 std::span<const double> y_train,
                                 const linalg::Matrix& x_val,
                                 std::span<const double> y_val,
-                                double soft_threshold) {
+                                double soft_threshold,
+                                std::vector<double>* predicted_out) {
   EvaluationReport report;
   report.model_name = model.name();
   report.num_features = x_train.cols();
@@ -117,7 +119,7 @@ EvaluationReport evaluate_model(Regressor& model,
 
   report.training_seconds = util::timed([&] { model.fit(x_train, y_train); });
 
-  const auto [predicted, validation_seconds] = util::timed(
+  auto [predicted, validation_seconds] = util::timed(
       [&] { return model.predict(x_val); });
   // Validation time includes metric computation, as in the paper's Table IV.
   util::WallTimer metric_timer;
@@ -146,6 +148,7 @@ EvaluationReport evaluate_model(Regressor& model,
                  "metrics (Table IV source).",
                  obs::Histogram::default_latency_bounds(), label)
       .observe(report.validation_seconds);
+  if (predicted_out != nullptr) *predicted_out = std::move(predicted);
   return report;
 }
 

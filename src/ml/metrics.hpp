@@ -62,11 +62,13 @@ struct EvaluationReport {
 
 /// Trains `model` on (x_train, y_train), validates on (x_val, y_val), and
 /// measures both phases. `soft_threshold` is the S-MAE tolerance in the
-/// target's units (the paper uses 10% of the maximum RTTF).
+/// target's units (the paper uses 10% of the maximum RTTF). If
+/// `predicted_out` is not null, it receives the validation predictions.
 EvaluationReport evaluate_model(Regressor& model, const linalg::Matrix& x_train,
                                 std::span<const double> y_train,
                                 const linalg::Matrix& x_val,
                                 std::span<const double> y_val,
-                                double soft_threshold);
+                                double soft_threshold,
+                                std::vector<double>* predicted_out = nullptr);
 
 }  // namespace f2pm::ml

@@ -1,7 +1,7 @@
 // Paper-output accuracy on the canonical bench study (bench/common.hpp):
-// the Lasso slice of the tables. Fig. 4's selected-count curve and Table
-// I's selected set are checked exactly; Table I's weights and Table II's
-// Lasso rows to a stated relative tolerance, because the solver's
+// Fig. 4, Table I and every row of Table II. Fig. 4's selected-count curve
+// and Table I's selected set are checked exactly; Table I's weights and
+// Table II's S-MAEs to a stated relative tolerance, because a solver's
 // floating-point order may change without changing what it computes.
 // Golden values are the outputs of bench/table1_lasso_weights and
 // bench/table2_smae printed to 17 significant digits.
@@ -22,6 +22,12 @@ namespace {
 constexpr double kWeightRelTolerance = 1e-6;
 /// Table II Lasso S-MAEs moved by at most 1e-14 relative in that switch.
 constexpr double kSmaeRelTolerance = 1e-9;
+/// Table II rows whose solvers keep their floating-point order.
+constexpr double kBitIdenticalRelTolerance = 1e-12;
+/// SVM2's golden values come from the LU solve of the bordered LS-SVM
+/// system; the Cholesky solve in K + I/γ moved them by at most 7e-15
+/// relative.
+constexpr double kSvm2RelTolerance = 1e-9;
 
 struct Weight {
   const char* name;
@@ -99,6 +105,43 @@ TEST(PaperLasso, Table2LassoRows) {
     EXPECT_NEAR(selected[k].report.soft_mae, golden_selected[k],
                 kSmaeRelTolerance * golden_selected[k])
         << selected[k].display_name;
+  }
+}
+
+TEST(PaperTable2, RowsOtherThanLasso) {
+  struct Row {
+    const char* model;
+    double all;       ///< S-MAE trained on all parameters.
+    double selected;  ///< S-MAE trained on the Lasso-selected ones.
+    double rel_tolerance;
+  };
+  const std::vector<Row> golden{
+      {"linear", 230.08016257077287, 318.38266467606996,
+       kBitIdenticalRelTolerance},
+      {"m5p", 40.40620317823879, 57.931863752476602,
+       kBitIdenticalRelTolerance},
+      {"reptree", 104.03302593613023, 67.246732209876839,
+       kBitIdenticalRelTolerance},
+      {"svm", 114.65457599535065, 198.92396521460256,
+       kBitIdenticalRelTolerance},
+      {"svm2", 130.92679709228076, 206.89809183840987, kSvm2RelTolerance},
+  };
+  std::vector<std::string> models;
+  for (const Row& row : golden) models.emplace_back(row.model);
+  const bench::Study& s = bench::study();
+  const auto all = core::evaluate_models(s.train, s.validation, models, {},
+                                         s.soft_threshold, util::Config{});
+  const auto selected =
+      core::evaluate_models(s.train_selected, s.validation_selected, models,
+                            {}, s.soft_threshold, util::Config{});
+  ASSERT_EQ(all.size(), golden.size());
+  ASSERT_EQ(selected.size(), golden.size());
+  for (std::size_t k = 0; k < golden.size(); ++k) {
+    SCOPED_TRACE(golden[k].model);
+    EXPECT_NEAR(all[k].report.soft_mae, golden[k].all,
+                golden[k].rel_tolerance * golden[k].all);
+    EXPECT_NEAR(selected[k].report.soft_mae, golden[k].selected,
+                golden[k].rel_tolerance * golden[k].selected);
   }
 }
 

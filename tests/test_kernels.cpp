@@ -1,10 +1,13 @@
 #include "ml/kernels.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cmath>
-
 #include <sstream>
+#include <vector>
 
+#include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "util/rng.hpp"
 
@@ -102,6 +105,53 @@ TEST(Kernels, CrossKernelMatchesElementwise) {
       EXPECT_DOUBLE_EQ(k(i, j), kernel_value(params, a.row(i), b.row(j)));
     }
   }
+}
+
+/// kernel_row's axpy form must add each K(i, j)'s products in the order
+/// linalg::dot does, for a whole row and for a lower-triangle prefix.
+TEST(Kernels, KernelRowIsBitIdenticalToTheDotProductForm) {
+  util::Rng rng(3);
+  linalg::Matrix x(40, 30);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t c = 0; c < x.cols(); ++c) x(r, c) = rng.normal(0.0, 1.0);
+  }
+  const linalg::Matrix xt = x.transposed();
+  const std::vector<double> norms = row_squared_norms(x);
+  for (const KernelParams& params :
+       {KernelParams{.type = KernelType::kLinear},
+        KernelParams{.type = KernelType::kRbf, .gamma = 0.05},
+        KernelParams{.type = KernelType::kPolynomial, .gamma = 0.1,
+                     .coef0 = 1.0, .degree = 3}}) {
+    SCOPED_TRACE(params.to_string());
+    for (std::size_t i : {0, 17, 39}) {
+      std::vector<double> expected(x.rows());
+      for (std::size_t j = 0; j < x.rows(); ++j) {
+        const double dot = linalg::dot(x.row(i), x.row(j));
+        switch (params.type) {
+          case KernelType::kLinear:
+            expected[j] = dot;
+            break;
+          case KernelType::kRbf:
+            expected[j] = std::exp(
+                -params.gamma * std::max(0.0, norms[i] + norms[j] - 2.0 * dot));
+            break;
+          case KernelType::kPolynomial:
+            expected[j] =
+                std::pow(params.gamma * dot + params.coef0, params.degree);
+            break;
+        }
+      }
+      std::vector<double> row(x.rows());
+      kernel_row(params, xt, i, norms, row);
+      EXPECT_EQ(row, expected);
+      std::vector<double> prefix(i + 1);
+      kernel_row(params, xt, i, norms, prefix);
+      EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), expected.begin()));
+    }
+  }
+  std::vector<double> too_long(x.rows() + 1);
+  EXPECT_THROW(kernel_row(KernelParams{}, xt, 0, norms, too_long),
+               std::invalid_argument);
 }
 
 TEST(Kernels, ParamsSerializationRoundTrip) {

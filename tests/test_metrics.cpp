@@ -98,8 +98,10 @@ TEST(EvaluateModel, FillsReportAndTimings) {
     y_val[i] = 3.0 * static_cast<double>(100 + i) + 1.0;
   }
   LinearRegression model;
+  std::vector<double> predicted;
   const EvaluationReport report =
-      evaluate_model(model, x_train, y_train, x_val, y_val, 0.5);
+      evaluate_model(model, x_train, y_train, x_val, y_val, 0.5, &predicted);
+  EXPECT_EQ(predicted, model.predict(x_val));
   EXPECT_EQ(report.model_name, "linear");
   EXPECT_EQ(report.train_rows, 50u);
   EXPECT_EQ(report.validation_rows, 10u);

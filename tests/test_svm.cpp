@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
+#include "data/standardizer.hpp"
+#include "linalg_reference.hpp"
 #include "ml/lssvm.hpp"
 #include "ml/metrics.hpp"
+#include "ml/registry.hpp"
 #include "ml/svr.hpp"
 #include "util/rng.hpp"
 
@@ -296,6 +299,118 @@ TEST(LsSvm, SaveLoadPreservesPredictions) {
     EXPECT_NEAR(loaded->predict_row(row), model.predict_row(row), 1e-9);
   }
 }
+
+TEST(LsSvm, RejectsPolynomialKernelsThatNeedNotBePositiveSemidefinite) {
+  LsSvmOptions negative_coef0;
+  negative_coef0.kernel = {.type = KernelType::kPolynomial, .gamma = 1.0,
+                           .coef0 = -0.5, .degree = 2};
+  EXPECT_THROW(LsSvm{negative_coef0}, std::invalid_argument);
+  LsSvmOptions zero_degree = negative_coef0;
+  zero_degree.kernel.coef0 = 1.0;
+  zero_degree.kernel.degree = 0;
+  EXPECT_THROW(LsSvm{zero_degree}, std::invalid_argument);
+  LsSvmOptions smallest_valid = negative_coef0;
+  smallest_valid.kernel.coef0 = 0.0;
+  smallest_valid.kernel.degree = 1;
+  EXPECT_NO_THROW(LsSvm{smallest_valid});
+  util::Config params;
+  params.set("svm2.kernel", "poly");
+  params.set("svm2.coef0", "-1");
+  EXPECT_THROW(make_model("svm2", params), std::invalid_argument);
+}
+
+/// (b, α) from the bordered system [0 1ᵀ; 1 K + I/γ][b; α] = [0; y],
+/// solved directly by LU on the standardized data.
+struct BorderedSolution {
+  double bias = 0.0;
+  std::vector<double> alphas;
+};
+
+BorderedSolution bordered_lu_fit(const LsSvmOptions& options,
+                                 const linalg::Matrix& x,
+                                 const std::vector<double>& y) {
+  const linalg::Matrix xs = data::Standardizer::fit(x).transform(x);
+  const std::vector<double> ys = data::TargetScaler::fit(y).transform(y);
+  KernelParams kernel = options.kernel;
+  kernel.gamma = resolve_gamma(kernel, xs.cols());
+  const linalg::Matrix k = kernel_matrix(kernel, xs);
+  const std::size_t n = xs.rows();
+  linalg::Matrix system(n + 1, n + 1);
+  std::vector<double> rhs(n + 1, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    system(0, i + 1) = 1.0;
+    system(i + 1, 0) = 1.0;
+    for (std::size_t j = 0; j < n; ++j) system(i + 1, j + 1) = k(i, j);
+    system(i + 1, i + 1) += 1.0 / options.gamma;
+    rhs[i + 1] = ys[i];
+  }
+  const std::vector<double> solution = linalg::reference::solve(system, rhs);
+  return {solution[0], {solution.begin() + 1, solution.end()}};
+}
+
+/// The Schur-complement Cholesky solve must reproduce the bordered LU
+/// solution within 1e-9 relative: bias and every α relative to the
+/// solution's largest magnitude (with a linear kernel on standardized
+/// data the bias is zero up to round-off), predictions each to its own.
+class LsSvmMatchesBorderedLu : public ::testing::TestWithParam<KernelType> {
+};
+
+TEST_P(LsSvmMatchesBorderedLu, BiasAlphasAndPredictions) {
+  util::Rng rng(41);
+  // Large enough that the factor's first trailing updates run on the pool.
+  const std::size_t n = 400;
+  linalg::Matrix x(n, 4);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < 4; ++c) x(i, c) = rng.uniform(-2.0, 2.0);
+    y[i] = 3.0 + std::sin(x(i, 0)) + 0.3 * x(i, 1) * x(i, 1) -
+           0.5 * x(i, 2) + rng.normal(0.0, 0.05);
+  }
+  LsSvmOptions options;
+  options.gamma = 10.0;
+  options.kernel = {.type = GetParam(), .gamma = 0.25, .coef0 = 1.0,
+                    .degree = 3};
+  LsSvm model(options);
+  model.fit(x, y);
+  const BorderedSolution expected = bordered_lu_fit(options, x, y);
+
+  constexpr double kRel = 1e-9;
+  double scale = std::abs(expected.bias);
+  for (double alpha : expected.alphas) scale = std::max(scale, std::abs(alpha));
+  EXPECT_NEAR(model.bias(), expected.bias, kRel * scale);
+  ASSERT_EQ(model.alphas().size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(model.alphas()[i], expected.alphas[i], kRel * scale)
+        << "alpha " << i;
+  }
+  // Predictions of the reference (b, α), through the fitted model's own
+  // scalers and kernel.
+  linalg::Matrix probes(50, 4);
+  for (std::size_t r = 0; r < probes.rows(); ++r) {
+    for (std::size_t c = 0; c < 4; ++c) probes(r, c) = rng.uniform(-2.0, 2.0);
+  }
+  const std::vector<double> predicted = model.predict(probes);
+  const auto scaler = data::Standardizer::fit(x);
+  const auto target = data::TargetScaler::fit(y);
+  KernelParams kernel = options.kernel;
+  kernel.gamma = resolve_gamma(kernel, x.cols());
+  const linalg::Matrix k =
+      kernel_matrix(kernel, scaler.transform(probes), scaler.transform(x));
+  for (std::size_t r = 0; r < probes.rows(); ++r) {
+    double value = expected.bias;
+    for (std::size_t i = 0; i < n; ++i) {
+      value += expected.alphas[i] * k(r, i);
+    }
+    const double reference = target.inverse(value);
+    EXPECT_NEAR(predicted[r], reference, kRel * std::abs(reference))
+        << "probe " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, LsSvmMatchesBorderedLu,
+                         ::testing::Values(KernelType::kRbf,
+                                           KernelType::kLinear,
+                                           KernelType::kPolynomial));
 
 /// Both SVM variants must beat the mean predictor on non-linear data —
 /// the basic sanity the paper's Table II ranking presumes.
